@@ -120,6 +120,9 @@ def result_to_payload(result: ExperimentResult) -> dict:
             for t in result.tables
         ],
         "checks": {str(k): bool(v) for k, v in result.checks.items()},
+        # Artifacts are written with sorted keys, so the checks' order
+        # is recorded separately for render() to reproduce.
+        "check_order": [str(k) for k in result.checks],
         "data": _jsonify(result.data),
     }
 
@@ -127,19 +130,22 @@ def result_to_payload(result: ExperimentResult) -> dict:
 def payload_to_result(payload: Mapping) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from a stored payload.
 
-    Table rows were rendered to aligned strings at serialisation time,
-    so ``render()`` of the rebuilt result matches the original exactly.
+    Table rows were rendered to aligned strings at serialisation time
+    and the checks come back in their recorded order, so ``render()`` of
+    the rebuilt result matches the original exactly.  Artifacts written
+    before ``check_order`` was recorded keep their stored (name) order.
     """
     tables = []
     for doc in payload.get("tables", ()):
         table = TextTable(doc["headers"], title=doc.get("title"))
         table.rows = [list(row) for row in doc["rows"]]
         tables.append(table)
+    checks = payload.get("checks", {})
     return ExperimentResult(
         experiment_id=payload["experiment_id"],
         title=payload.get("title", payload["experiment_id"]),
         tables=tables,
-        checks=dict(payload.get("checks", {})),
+        checks={name: checks[name] for name in payload.get("check_order", checks)},
         data=dict(payload.get("data", {})),
     )
 

@@ -1,7 +1,16 @@
-"""Tests for Dinic max-flow and the Hong-Kung dominator machinery."""
+"""Tests for Dinic max-flow and the Hong-Kung dominator machinery.
+
+:func:`minimum_dominator_size` builds its flow network on the targets'
+ancestor cone instead of the whole CDAG.  ``_reference.py`` keeps the
+whole-graph version; the equivalence tests below assert both give the
+same value on fixed and random target sets, and the E14.1 rows are
+pinned exactly so that a flow bug that deflates (or inflates)
+dominators fails here rather than slipping under HK's ``3M`` envelope.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bilinear import classical, strassen
 from repro.bounds import (
@@ -14,6 +23,16 @@ from repro.bounds import (
 from repro.cdag import Region, build_base_graph, build_cdag
 from repro.schedules import loop_order_schedule, recursive_schedule
 from repro.utils.flow import Dinic
+
+from . import _reference
+
+#: ``build_cdag(classical(2), r)`` and ``build_cdag(strassen(), r)`` for
+#: r <= 3, built once.
+GRAPHS = {
+    f"{name} G_{r}": build_cdag(alg(), r)
+    for name, alg in (("classical", lambda: classical(2)), ("strassen", strassen))
+    for r in (1, 2, 3)
+}
 
 
 class TestDinic:
@@ -102,6 +121,69 @@ class TestDominators:
         few = minimum_dominator_size(g, g.outputs()[:2])
         more = minimum_dominator_size(g, g.outputs())
         assert few <= more
+
+
+def _fixed_target_sets(g):
+    """The edge cases: empty, single, duplicated, inputs (which dominate
+    themselves), all outputs, and a mix across the CDAG's layers."""
+    inputs, outputs, products = g.inputs(), g.outputs(), g.products()
+    return {
+        "empty": [],
+        "single output": [int(outputs[0])],
+        "single product": [int(products[-1])],
+        "single input": [int(inputs[0])],
+        "all inputs": inputs,
+        "duplicates": [int(outputs[0]), int(outputs[0]), int(products[0]),
+                       int(products[0])],
+        "all outputs": outputs,
+        "inputs and outputs": np.concatenate([inputs[:3], outputs[-3:]]),
+        "all products": products,
+    }
+
+
+class TestConeMatchesWholeGraph:
+    """The ancestor-cone network gives the whole-graph network's value."""
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_fixed_target_sets(self, graph):
+        g = GRAPHS[graph]
+        for label, targets in _fixed_target_sets(g).items():
+            expected = _reference.minimum_dominator_size(g, targets)
+            assert minimum_dominator_size(g, targets) == expected, label
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(GRAPHS)), st.data())
+    def test_random_target_sets(self, graph, data):
+        g = GRAPHS[graph]
+        targets = data.draw(
+            st.lists(st.integers(0, g.n_vertices - 1), max_size=24),
+            label="targets",
+        )
+        assert minimum_dominator_size(g, targets) == (
+            _reference.minimum_dominator_size(g, targets)
+        )
+
+
+class TestE14Rows:
+    """E14.1's rows as exact behaviour numbers: the executions and their
+    2M-partitions are deterministic, so any drift is a bug."""
+
+    @pytest.mark.parametrize(
+        "alg, r, kind, phases, max_dom, max_min",
+        [
+            (lambda: classical(2), 3, "ijk", 152, 12, 7),
+            (strassen, 2, "recursive", 27, 9, 4),
+            (strassen, 3, "recursive", 222, 10, 4),
+        ],
+        ids=["classical G_3", "strassen G_2", "strassen G_3"],
+    )
+    def test_row(self, alg, r, kind, phases, max_dom, max_min):
+        g = build_cdag(alg(), r)
+        sched = (loop_order_schedule(g, "ijk") if kind == "ijk"
+                 else recursive_schedule(g))
+        report = verify_hk_partition(g, partition_by_io(g, sched, 8), 8)
+        assert (report["n_parts"], report["max_dominator"],
+                report["max_minimum_set"]) == (phases, max_dom, max_min)
 
 
 class TestMinimumSet:

@@ -12,6 +12,20 @@ from repro.experiments import ExperimentResult, get_experiment, list_experiments
 ALL_IDS = [f"E{i}" for i in range(1, 16)]
 
 
+@pytest.fixture(scope="session")
+def default_result():
+    """Each experiment's result at default parameters, computed once per
+    session and shared by every test that asserts against it."""
+    results = {}
+
+    def get(experiment_id):
+        if experiment_id not in results:
+            results[experiment_id] = get_experiment(experiment_id)()
+        return results[experiment_id]
+
+    return get
+
+
 class TestRegistry:
     def test_all_registered(self):
         assert list_experiments() == sorted(ALL_IDS)
@@ -23,13 +37,13 @@ class TestRegistry:
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 class TestReproduction:
-    def test_all_checks_pass(self, experiment_id):
-        result = get_experiment(experiment_id)()
+    def test_all_checks_pass(self, experiment_id, default_result):
+        result = default_result(experiment_id)
         failed = [name for name, ok in result.checks.items() if not ok]
         assert not failed, f"{experiment_id} failed checks: {failed}"
 
-    def test_result_structure(self, experiment_id):
-        result = get_experiment(experiment_id)()
+    def test_result_structure(self, experiment_id, default_result):
+        result = default_result(experiment_id)
         assert isinstance(result, ExperimentResult)
         assert result.experiment_id == experiment_id
         assert result.tables, "every experiment reports at least one table"

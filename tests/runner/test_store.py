@@ -33,6 +33,22 @@ class TestSerialisation:
         assert rebuilt.checks == original.checks
         assert rebuilt.all_checks_pass == original.all_checks_pass
 
+    def test_real_report_survives_json_round_trip(self):
+        """An experiment's checks are not in name order; the sorted JSON
+        the store writes must still render back byte for byte."""
+        from repro.experiments import get_experiment
+
+        original = get_experiment("E1")()
+        assert list(original.checks) != sorted(original.checks)
+        blob = json.dumps(result_to_payload(original), sort_keys=True)
+        assert payload_to_result(json.loads(blob)).render() == original.render()
+
+    def test_payload_without_check_order_keeps_stored_order(self):
+        payload = result_to_payload(_sample_result())
+        del payload["check_order"]
+        payload["checks"] = {"b": False, "a": True}
+        assert list(payload_to_result(payload).checks) == ["b", "a"]
+
     def test_payload_is_json_native(self):
         payload = result_to_payload(_sample_result())
         blob = json.dumps(payload, sort_keys=True)
