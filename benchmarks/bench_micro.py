@@ -147,14 +147,15 @@ def make_cases() -> dict:
     # of magnitude *slower* than the fallback loops), and a pair that
     # labels that "njit" would be noise, so the pair (and the derived
     # ratio) is emitted on compiled installs only.
-    from repro.pebbling import kernels
+    from repro.simcore import dispatch
+    from repro.simcore.grid import run_grid, simulate_plan
 
     def kernel_e09_python():
-        with kernels.forced_mode("off"):
+        with dispatch.forced_mode("off"):
             e9_n32_core()
 
     def kernel_e09_njit():
-        with kernels.forced_mode("jit"):
+        with dispatch.forced_mode("jit"):
             e9_n32_core()
 
     # Paired lockstep cases: one E9-shaped configuration grid (cache
@@ -179,14 +180,13 @@ def make_cases() -> dict:
     lock_codes = np.array([0, 1, 2] * 8, dtype=np.int64)
 
     def grid_lockstep_batched():
-        with kernels.forced_mode("jit"):
-            kernels.run_grid(arrays5, iu8_5, ou8_5, lock_Ms, lock_codes)
+        with dispatch.forced_mode("jit"):
+            run_grid(arrays5, iu8_5, ou8_5, lock_Ms, lock_codes)
 
     def grid_lockstep_per_config():
-        with kernels.forced_mode("jit"):
+        with dispatch.forced_mode("jit"):
             for M, code in zip(lock_Ms, lock_codes):
-                kernels.simulate_plan(arrays5, iu8_5, ou8_5, int(M),
-                                      int(code))
+                simulate_plan(arrays5, iu8_5, ou8_5, int(M), int(code))
     # Paired graph-cache cases: the warm path loads every graph,
     # schedule and executor plan for the E9 depth ladder from a
     # pre-warmed bundle store through a *fresh* GraphCache instance per
@@ -255,7 +255,7 @@ def make_cases() -> dict:
                 "grid_lockstep_batched": grid_lockstep_batched,
                 "grid_lockstep_per_config": grid_lockstep_per_config,
             }
-            if kernels.HAVE_NUMBA
+            if dispatch.HAVE_NUMBA
             else {}
         ),
         "graphcache_e9_cold_compile": graphcache_cold,

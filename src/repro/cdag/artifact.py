@@ -330,9 +330,9 @@ def active_cache():
         root = os.environ.get(ENV_VAR)
         if root:
             try:
-                from repro.runner.graphcache import activate
+                from repro.runner.graphcache import GraphCache
 
-                activate(root, shm_root=os.environ.get("REPRO_SHM_LEDGER"))
+                set_active_cache(GraphCache(root))
             except Exception:
                 # A bad env var must never break graph building.
                 pass

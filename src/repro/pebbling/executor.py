@@ -72,12 +72,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import repro.pebbling.kernels as kernels
 from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG
 from repro.errors import CacheError, ScheduleError
 from repro.pebbling.machine import MachineModel
 from repro.simcore import dispatch as _dispatch
+from repro.simcore import grid as _grid
+from repro.simcore import policies as _policies
 from repro.simcore.plan import SchedulePlan, gather_operands
 from repro.simcore.pyloops import simulate_py
 from repro.telemetry.metrics import metrics
@@ -174,13 +175,13 @@ def _counts_to_result(
 
 def _raise_kernel_status(sc) -> None:
     """Map a kernel status code onto the executor's exception contract."""
-    status = int(sc[kernels.STATUS])
-    if status == kernels.STATUS_OPERAND_MISSING:
+    status = int(sc[_policies.STATUS])
+    if status == _policies.STATUS_OPERAND_MISSING:
         raise ScheduleError(
-            f"operand {int(sc[kernels.ERR_A])} of {int(sc[kernels.ERR_B])} "
+            f"operand {int(sc[_policies.ERR_A])} of {int(sc[_policies.ERR_B])} "
             "is neither cached nor in slow memory"
         )
-    if status == kernels.STATUS_NO_VICTIM:
+    if status == _policies.STATUS_NO_VICTIM:
         raise CacheError("no eviction candidate available")
 
 
@@ -193,13 +194,13 @@ def _simulate(plan, is_input, is_output, cache_size, policy, io_trace):
     code = _POLICY_CODES.get(policy)
     if code is None:
         raise CacheError(f"unknown eviction policy {policy!r}")
-    mode = kernels.active_mode()
+    mode = _dispatch.active_mode()
     if mode != "off":
         trace_arr = (
             np.zeros(plan.n_steps, dtype=np.int64)
             if io_trace is not None else None
         )
-        sc = kernels.simulate_plan(
+        sc = _grid.simulate_plan(
             plan.kernel_arrays(),
             np.ascontiguousarray(is_input).view(np.uint8),
             np.ascontiguousarray(is_output).view(np.uint8),
@@ -236,7 +237,7 @@ def _partition_worker(arrays, is_input, is_output, configs):
         out.append(
             _simulate(plan, is_input, is_output, cache_size, policy, None)
         )
-    return time.perf_counter() - t0, kernels.active_mode(), out
+    return time.perf_counter() - t0, _dispatch.active_mode(), out
 
 
 class CacheExecutor:
@@ -417,10 +418,10 @@ class CacheExecutor:
                 results[(M, policy)] = result
             return results
 
-        mode = kernels.active_mode()
+        mode = _dispatch.active_mode()
         if mode != "off":
             # One compiled call for the entire grid.
-            grid = kernels.run_grid(
+            grid = _grid.run_grid(
                 plan.kernel_arrays(),
                 np.ascontiguousarray(self.is_input).view(np.uint8),
                 np.ascontiguousarray(self.is_output).view(np.uint8),

@@ -11,7 +11,7 @@ an experiment curve.
 
 The whole grid runs against *both* executor paths: the pure-Python
 fallback loops (``off``) and the kernel algorithm from
-:mod:`repro.pebbling.kernels` (``interp`` when numba is absent, so the
+:mod:`repro.simcore.grid` (``interp`` when numba is absent, so the
 exact code numba would compile runs under the plain interpreter; the
 compiled ``jit`` path when numba is installed).
 """
@@ -20,23 +20,24 @@ import pytest
 
 from repro.bilinear import classical, strassen
 from repro.cdag import build_cdag
-from repro.pebbling import CacheExecutor, kernels, min_cache_size
+from repro.pebbling import CacheExecutor, min_cache_size
 from repro.schedules import (
     random_topological_schedule,
     rank_order_schedule,
     recursive_schedule,
 )
+from repro.simcore import dispatch
 
 from ._reference import reference_run
 
 POLICIES = ("lru", "fifo", "belady")
-PATHS = ("off", "jit" if kernels.HAVE_NUMBA else "interp")
+PATHS = ("off", "jit" if dispatch.HAVE_NUMBA else "interp")
 
 
 @pytest.fixture(params=PATHS)
 def sim_path(request):
     """Run the test body under one executor dispatch mode."""
-    with kernels.forced_mode(request.param):
+    with dispatch.forced_mode(request.param):
         yield request.param
 
 

@@ -14,8 +14,9 @@ from repro import telemetry
 from repro.bilinear import strassen
 from repro.bounds.theorem1 import io_lower_bound
 from repro.cdag import build_cdag
-from repro.pebbling import CacheExecutor, kernels
+from repro.pebbling import CacheExecutor
 from repro.schedules import recursive_schedule
+from repro.simcore import dispatch
 
 from ..pebbling._reference import reference_run
 
@@ -127,7 +128,7 @@ def test_plan_cache_counters(workload):
     assert reg.counter("pebbling.plan.hit").value == 3
 
 
-KERNEL_MODE = "jit" if kernels.HAVE_NUMBA else "interp"
+KERNEL_MODE = "jit" if dispatch.HAVE_NUMBA else "interp"
 
 
 def test_kernel_path_counter_per_simulation(workload):
@@ -138,7 +139,7 @@ def test_kernel_path_counter_per_simulation(workload):
     telemetry.enable()
     ex = CacheExecutor(g)
 
-    with kernels.forced_mode(KERNEL_MODE):
+    with dispatch.forced_mode(KERNEL_MODE):
         telemetry.reset()
         ex.run(sched, 8, "belady")
         reg = telemetry.metrics()
@@ -147,7 +148,7 @@ def test_kernel_path_counter_per_simulation(workload):
         ex.run_many(sched, (8, 12), ("lru", "belady"))
         assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 5
 
-    with kernels.forced_mode("off"):
+    with dispatch.forced_mode("off"):
         telemetry.reset()
         ex.run(sched, 8, "belady")
         ex.run_many(sched, (8, 12), ("lru", "belady"))
@@ -163,7 +164,7 @@ def test_kernel_counters_identical_across_paths(workload):
     telemetry.enable()
     ex = CacheExecutor(g)
     for cache_size, policy in CONFIGS:
-        with kernels.forced_mode(KERNEL_MODE):
+        with dispatch.forced_mode(KERNEL_MODE):
             telemetry.reset()
             ex.run(sched, cache_size, policy)
             (sp,) = _finished()
@@ -180,7 +181,7 @@ def test_kernel_compile_gauge_set_once(workload):
     telemetry.enable()
     telemetry.reset()
     ex = CacheExecutor(g)
-    with kernels.forced_mode(KERNEL_MODE):
+    with dispatch.forced_mode(KERNEL_MODE):
         ex.run(sched, 8, "lru")
         ex.run(sched, 12, "belady")
     gauge = telemetry.metrics().gauge("pebbling.kernel.compile_s")

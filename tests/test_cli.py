@@ -222,14 +222,6 @@ class TestTuneCommand:
         assert main(argv) == 1
         assert "config mismatch" in capsys.readouterr().err
 
-    def test_tune_unreachable_daemon_exits_2(self, tmp_path):
-        argv = [
-            "tune", "--r", "2", "--M", "12", "--budget", "4",
-            "--cache-dir", str(tmp_path),
-            "--socket", str(tmp_path / "absent.sock"),
-        ]
-        assert main(argv) == 2
-
     def test_tune_fresh_and_resume_conflict(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tune", "--fresh", "--resume"])
