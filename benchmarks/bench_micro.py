@@ -148,7 +148,7 @@ def make_cases() -> dict:
     # labels that "njit" would be noise, so the pair (and the derived
     # ratio) is emitted on compiled installs only.
     from repro.simcore import dispatch
-    from repro.simcore.grid import run_grid, simulate_plan
+    from repro.simcore.grid import run_grid
 
     def kernel_e09_python():
         with dispatch.forced_mode("off"):
@@ -160,10 +160,10 @@ def make_cases() -> dict:
 
     # Paired lockstep cases: one E9-shaped configuration grid (cache
     # sizes x policies over the n=32 recursive schedule) run as a single
-    # lockstep run_grid call vs one compiled per-config pass per cell.
+    # lockstep run_grid call vs one one-row run_grid call per cell.
     # Both legs are jit; the ratio ("grid_lockstep_speedup") isolates
-    # what the (config, slot) batching + chunk threading buy over the
-    # PR-8 style per-configuration kernel loop.
+    # what the (config, slot) batching + chunk threading buy over a
+    # per-configuration loop.
     from repro.simcore import SchedulePlan
 
     plan5 = SchedulePlan(g5, sched5, validated=False)
@@ -186,7 +186,7 @@ def make_cases() -> dict:
     def grid_lockstep_per_config():
         with dispatch.forced_mode("jit"):
             for M, code in zip(lock_Ms, lock_codes):
-                simulate_plan(arrays5, iu8_5, ou8_5, int(M), int(code))
+                run_grid(arrays5, iu8_5, ou8_5, [int(M)], [int(code)])
     # Paired graph-cache cases: the warm path loads every graph,
     # schedule and executor plan for the E9 depth ladder from a
     # pre-warmed bundle store through a *fresh* GraphCache instance per

@@ -12,9 +12,10 @@ One simulation engine serves every simulator in the repository:
 - :mod:`repro.simcore.policies` — the one implementation of LRU / FIFO
   / Belady as lazy int64-encoded min-heaps over flat arrays, written as
   per-step ``njit`` bodies that operate on single rows of state;
-- :mod:`repro.simcore.grid` — per-config kernels plus the lockstep
-  whole-grid kernel: ``(config, slot)`` 2-D state stepped through the
-  schedule time-major, thread-chunked under numba;
+- :mod:`repro.simcore.grid` — the one compiled simulation kernel, the
+  lockstep whole-grid kernel: ``(config, slot)`` 2-D state stepped
+  through the schedule time-major (a single configuration is its
+  one-row case), thread-chunked under numba;
 - :mod:`repro.simcore.pyloops` — the bit-identical pure-Python fallback
   (also the pebble-game event source);
 - :mod:`repro.simcore.trace` — the address-trace LRU engine
@@ -36,7 +37,7 @@ from repro.simcore.dispatch import (
     forced_mode,
     set_mode,
 )
-from repro.simcore.grid import run_grid, simulate_plan
+from repro.simcore.grid import run_grid
 from repro.simcore.plan import SchedulePlan, gather_operands
 from repro.simcore.pyloops import simulate_py
 from repro.simcore.trace import CacheStats, LRUCacheCore, run_trace_grid
@@ -49,7 +50,6 @@ __all__ = [
     "set_mode",
     "SchedulePlan",
     "gather_operands",
-    "simulate_plan",
     "run_grid",
     "simulate_py",
     "CacheStats",

@@ -19,11 +19,10 @@ numba is an *optional* dependency (the ``speed`` extra).  Three modes:
   the kernel algorithm everywhere.
 
 Callers count the path taken per simulation
-(``simcore.kernel.{jit,interp,fallback}``, mirrored as
-``pebbling.kernel.*`` by the executor for dashboard continuity) and the
-wall time of the first kernel invocation per process
-(``simcore.kernel.compile_s`` / legacy ``pebbling.kernel.compile_s`` —
-on a cold numba cache this is dominated by JIT compilation).
+(``simcore.kernel.{jit,interp,fallback}``, one increment per
+configuration) and the wall time of the first kernel invocation per
+process (``simcore.kernel.compile_s`` — on a cold numba cache this is
+dominated by JIT compilation).
 """
 
 from __future__ import annotations
@@ -135,16 +134,14 @@ _compile_s: float | None = None
 def note_first_call(elapsed: float) -> None:
     """Remember the first kernel invocation's wall time (on a cold numba
     cache this is dominated by JIT compilation) and publish it as the
-    ``simcore.kernel.compile_s`` gauge — plus the legacy
-    ``pebbling.kernel.compile_s`` name — once per registry life."""
+    ``simcore.kernel.compile_s`` gauge once per registry life."""
     global _compile_s
     if _compile_s is None:
         _compile_s = elapsed
     if _telemetry_enabled():
-        for name in ("simcore.kernel.compile_s", "pebbling.kernel.compile_s"):
-            gauge = metrics().gauge(name)
-            if gauge.count == 0:
-                gauge.set(_compile_s)
+        gauge = metrics().gauge("simcore.kernel.compile_s")
+        if gauge.count == 0:
+            gauge.set(_compile_s)
 
 
 def count_path(mode: str, n: int = 1) -> None:

@@ -1,29 +1,28 @@
 """Batched grid simulation: ``(config, slot)`` 2-D state stepped in
 lockstep by one compiled kernel.
 
-The PR-8 grid entry point compiled the *loop over configurations* —
-each ``(cache_size, policy)`` cell still ran start-to-finish on one
-core.  Here the batch is columnar: every kind of per-vertex state is
-one ``(config, slot)`` matrix (row = configuration, slot axis = vertex
-/ heap entry / scalar index), and ``_grid_lockstep`` advances *all*
-rows through schedule step ``t`` before moving to ``t + 1``.  The
-schedule, operand CSR and next-use arrays are read once per step and
-shared across every row, so a thousand-configuration sweep costs one
-pass over the plan instead of a thousand.
+``_grid_lockstep`` is the only compiled simulation kernel: a single
+``(cache_size, policy)`` run is its one-row case.  The batch is
+columnar: every kind of per-vertex state is one ``(config, slot)``
+matrix (row = configuration, slot axis = vertex / heap entry / scalar
+index), and the kernel advances *all* rows through schedule step ``t``
+before moving to ``t + 1``.  The schedule, operand CSR and next-use
+arrays are read once per step and shared across every row, so a
+thousand-configuration sweep costs one pass over the plan instead of a
+thousand.
 
 Configurations are independent, so the interleaving cannot change any
 row's result — bit-identity with single-config runs is structural, and
 the hypothesis suite (``tests/simcore/``) asserts it anyway.
 
-Scaling knobs
--------------
+Threads
+-------
 Under numba the kernel releases the GIL, so the Python wrapper splits
-the config rows into chunks and steps the chunks on a thread pool: a
-whole grid saturates the machine's cores from one process.
-``REPRO_GRID_THREADS`` pins the thread count (default: up to 8, bounded
-by ``os.cpu_count()``); chunks also bound peak state memory to
-``chunk_rows x n_vertices``.  Without numba the threads would just
-contend for the GIL, so the fallback and ``interp`` modes run the grid
+the config rows into chunks and steps the chunks on a thread pool (up
+to 8 threads, bounded by ``os.cpu_count()``): a whole grid saturates
+the machine's cores from one process, and chunks also bound peak state
+memory to ``chunk_rows x n_vertices``.  Without numba the threads would
+just contend for the GIL, so the ``interp`` mode runs the grid
 single-threaded.
 """
 
@@ -36,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.simcore.dispatch import (
-    HAVE_NUMBA,
     active_mode,
     count_path,
     njit,
@@ -53,96 +51,14 @@ from repro.simcore.policies import (
     _recency_step,
 )
 
-__all__ = ["simulate_plan", "run_grid"]
-
-
-# ----------------------------------------------------------------------
-# Per-config kernels (single row of state; io_trace support).
-# ----------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _recency_kernel(sched, indptr, ops, uses_left0, is_input, is_output,
-                    n, cache_size, refresh_on_use, trace, want_trace, sc):
-    T = sched.shape[0]
-    cached = np.zeros(n, dtype=np.uint8)
-    dirty = np.zeros(n, dtype=np.uint8)
-    in_slow = np.empty(n, dtype=np.uint8)
-    output_written = np.zeros(n, dtype=np.uint8)
-    uses_left = np.empty(n, dtype=np.int64)
-    stamp = np.zeros(n, dtype=np.int64)
-    pinned = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        in_slow[i] = is_input[i]
-        uses_left[i] = uses_left0[i]
-    heap = np.empty(ops.shape[0] + T + 2, dtype=np.int64)
-    aside = np.empty(n, dtype=np.int64)
-
-    for t in range(T):
-        if _recency_step(sched[t], t, indptr[t], indptr[t + 1], ops, n,
-                         cache_size, refresh_on_use, is_input, is_output,
-                         cached, dirty, in_slow, output_written, uses_left,
-                         stamp, pinned, heap, aside, sc) < 0:
-            return
-        if want_trace:
-            trace[t] = sc[READS] + sc[WRITES]
-
-    _drain_outputs(n, is_output, dirty, output_written, sc)
-
-
-@njit(cache=True, nogil=True)
-def _belady_kernel(sched, indptr, ops, occ_next, first_use, uses_left0,
-                   is_input, is_output, n, cache_size, trace, want_trace, sc):
-    T = sched.shape[0]
-    cached = np.zeros(n, dtype=np.uint8)
-    dirty = np.zeros(n, dtype=np.uint8)
-    in_slow = np.empty(n, dtype=np.uint8)
-    output_written = np.zeros(n, dtype=np.uint8)
-    uses_left = np.empty(n, dtype=np.int64)
-    key = np.zeros(n, dtype=np.int64)
-    pinned = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        in_slow[i] = is_input[i]
-        uses_left[i] = uses_left0[i]
-    heap = np.empty(ops.shape[0] + T + 2, dtype=np.int64)
-
-    for t in range(T):
-        if _belady_step(sched[t], t, indptr[t], indptr[t + 1], ops, occ_next,
-                        first_use, n, T, cache_size, is_input, is_output,
-                        cached, dirty, in_slow, output_written, uses_left,
-                        key, pinned, heap, sc) < 0:
-            return
-        if want_trace:
-            trace[t] = sc[READS] + sc[WRITES]
-
-    _drain_outputs(n, is_output, dirty, output_written, sc)
-
-
-@njit(cache=True, nogil=True)
-def _simulate_one(sched, indptr, ops, occ_next, first_use, uses_left0,
-                  is_input, is_output, n, cache_size, policy_code,
-                  trace, want_trace, sc):
-    """Policy dispatch: 0 = LRU, 1 = FIFO, 2 = Belady."""
-    if policy_code == 2:
-        _belady_kernel(sched, indptr, ops, occ_next, first_use, uses_left0,
-                       is_input, is_output, n, cache_size, trace, want_trace,
-                       sc)
-    else:
-        _recency_kernel(sched, indptr, ops, uses_left0, is_input, is_output,
-                        n, cache_size, policy_code == 0, trace, want_trace,
-                        sc)
-
-
-# ----------------------------------------------------------------------
-# Lockstep grid kernel: (config, slot) 2-D state, time-major loop.
-# ----------------------------------------------------------------------
+__all__ = ["run_grid"]
 
 
 @njit(cache=True, nogil=True)
 def _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
                    is_input, is_output, n, cache_sizes, policy_codes,
                    cached, dirty, in_slow, output_written, uses_left,
-                   stampkey, pinned, heaps, aside, sc):
+                   stampkey, pinned, heaps, aside, sc, trace):
     """Step every configuration row through the schedule in lockstep.
 
     All state matrices are ``(n_configs, slots)``; row ``j`` is
@@ -151,10 +67,13 @@ def _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
     ``stampkey`` row ``j`` is the recency stamp for LRU/FIFO rows and
     the next-use key for Belady rows — the policies never mix within a
     row.  Rows whose ``STATUS`` goes non-OK stop stepping; the rest of
-    the grid continues.
+    the grid continues.  ``trace`` is ``(n_configs, n_steps)`` to record
+    each row's cumulative I/O after every successful step, or
+    ``(n_configs, 0)`` to record nothing.
     """
     T = sched.shape[0]
     C = cache_sizes.shape[0]
+    want_trace = trace.shape[1] != 0
     for j in range(C):
         for k in range(SC_LEN):
             sc[j, k] = 0
@@ -185,65 +104,34 @@ def _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
                               cached[j], dirty[j], in_slow[j],
                               output_written[j], uses_left[j], stampkey[j],
                               pinned[j], heaps[j], aside[j], sc[j])
+            if want_trace and sc[j, STATUS] == STATUS_OK:
+                trace[j, t] = sc[j, READS] + sc[j, WRITES]
     for j in range(C):
         if sc[j, STATUS] == STATUS_OK:
             _drain_outputs(n, is_output, dirty[j], output_written[j], sc[j])
 
-
-# ----------------------------------------------------------------------
-# Python wrappers.
-# ----------------------------------------------------------------------
-
-_DUMMY_TRACE = np.empty(1, dtype=np.int64)
 
 #: Grids smaller than this never split across threads — the pool and
 #: per-chunk state setup would dominate.
 _MIN_CHUNK = 4
 
 
-def _n_threads() -> int:
-    env = os.environ.get("REPRO_GRID_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
-def simulate_plan(plan_arrays, is_input_u8, is_output_u8, cache_size,
-                  policy_code, trace=None) -> np.ndarray:
-    """Run one ``(cache_size, policy)`` configuration over a plan's
-    kernel arrays; returns the ``SC_LEN`` scalar vector (first eight
-    slots are the count tuple, then status/diagnostics).
+def run_grid(plan_arrays, is_input_u8, is_output_u8, cache_sizes,
+             policy_codes, trace=None) -> np.ndarray:
+    """Batched lockstep sweep over one plan: returns an
+    ``(n_configs, SC_LEN)`` matrix, one scalar vector per
+    ``(cache_size, policy)`` cell (first eight slots are the count
+    tuple, then status/diagnostics).
 
     ``plan_arrays`` is the tuple from
     :meth:`SchedulePlan.kernel_arrays` — contiguous int64 arrays in
     ``PLAN_ARRAY_NAMES`` order, possibly read-only memmaps straight from
-    a plan bundle (the kernels never write them).
-    """
-    sched, indptr, ops, occ_next, first_use, uses_left0 = plan_arrays
-    sc = np.zeros(SC_LEN, dtype=np.int64)
-    want_trace = trace is not None
-    t0 = time.perf_counter()
-    _simulate_one(sched, indptr, ops, occ_next, first_use, uses_left0,
-                  is_input_u8, is_output_u8, is_input_u8.shape[0],
-                  cache_size, policy_code,
-                  trace if want_trace else _DUMMY_TRACE, want_trace, sc)
-    note_first_call(time.perf_counter() - t0)
-    count_path(active_mode())
-    return sc
-
-
-def run_grid(plan_arrays, is_input_u8, is_output_u8, cache_sizes,
-             policy_codes) -> np.ndarray:
-    """Batched lockstep sweep over one plan: returns an
-    ``(n_configs, SC_LEN)`` matrix, one scalar vector per
-    ``(cache_size, policy)`` cell.
+    a plan bundle (the kernel never writes them).  ``trace``, when
+    given, is an ``(n_configs, n_steps)`` int64 matrix: row ``j``, step
+    ``t`` receives config ``j``'s cumulative I/O after that step.
 
     Under numba the grid's config rows are chunked across a thread pool
-    (the kernel is ``nogil``), so large sweeps use every core from one
-    process; see the module docstring for the knobs.
+    (the kernel is ``nogil``); see the module docstring.
     """
     sched, indptr, ops, occ_next, first_use, uses_left0 = plan_arrays
     Ms = np.ascontiguousarray(cache_sizes, dtype=np.int64)
@@ -264,13 +152,15 @@ def run_grid(plan_arrays, is_input_u8, is_output_u8, cache_sizes,
         pinned = np.empty((c, n), dtype=np.int64)
         heaps = np.empty((c, heap_cap), dtype=np.int64)
         aside = np.empty((c, n), dtype=np.int64)
+        rows = (trace[lo:hi] if trace is not None
+                else np.empty((c, 0), dtype=np.int64))
         _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
                        is_input_u8, is_output_u8, n, Ms[lo:hi], pols[lo:hi],
                        cached, dirty, in_slow, output_written, uses_left,
-                       stampkey, pinned, heaps, aside, out[lo:hi])
+                       stampkey, pinned, heaps, aside, out[lo:hi], rows)
 
     mode = active_mode()
-    threads = _n_threads() if (mode == "jit" and HAVE_NUMBA) else 1
+    threads = min(os.cpu_count() or 1, 8) if mode == "jit" else 1
     n_chunks = min(threads, max(1, C // _MIN_CHUNK))
     t0 = time.perf_counter()
     if n_chunks <= 1:

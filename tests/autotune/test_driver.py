@@ -20,7 +20,7 @@ from repro.cdag import build_cdag
 from repro.errors import ReproError
 from repro.pebbling import CacheExecutor
 from repro.runner import ResultStore
-from repro.schedules import demand_driven_schedule, search_schedule
+from repro.schedules import demand_driven_schedule, validate_schedule
 from repro.utils.rngs import make_rng
 
 
@@ -29,9 +29,22 @@ def g2():
     return build_cdag(strassen(), 2)
 
 
+def _hillclimb(cdag, cache_size, budget, seed=None, start_order=None):
+    """One Belady-objective ``hillclimb`` search over product orders
+    (default start: the recursive order)."""
+    config = TuneConfig(
+        alg=cdag.alg.name, r=cdag.r, cache_size=cache_size, policy="belady",
+        strategy="hillclimb", budget=budget, generation=1, seed=seed,
+    )
+    return AutoTuner(
+        config, LocalEvaluator(cdag, cache_size, "belady"),
+        start_order=start_order, algorithm=cdag.alg,
+    ).run()
+
+
 def _legacy_hillclimb(cdag, cache_size, budget, seed, policy="belady"):
-    """The pre-autotuner ``schedules/search.py`` loop, verbatim — the
-    fixed-seed trajectory contract the hillclimb strategy preserves."""
+    """The pre-autotuner hill-climb loop, verbatim — the fixed-seed
+    trajectory contract the hillclimb strategy preserves."""
     rng = make_rng(seed)
     executor = CacheExecutor(cdag)
     n_products = len(cdag.products())
@@ -65,17 +78,62 @@ def _legacy_hillclimb(cdag, cache_size, budget, seed, policy="belady"):
 class TestHillclimbParity:
     @pytest.mark.parametrize("cache_size,budget,seed",
                              [(12, 30, 7), (8, 50, 0), (24, 40, 123)])
-    def test_search_schedule_matches_legacy_loop(
+    def test_hillclimb_matches_legacy_loop(
         self, g2, cache_size, budget, seed
     ):
         want_order, want_io, want_start, want_evals = _legacy_hillclimb(
             g2, cache_size, budget, seed
         )
-        res = search_schedule(g2, cache_size, budget=budget, seed=seed)
+        res = _hillclimb(g2, cache_size, budget=budget, seed=seed)
         assert res.best_io == want_io
         assert res.start_io == want_start
         assert res.evaluations == want_evals
-        assert np.array_equal(res.best_product_order, want_order)
+        assert np.array_equal(res.best_order, want_order)
+
+
+class TestHillclimbSearch:
+    """The hill-climb's search contract over product orders."""
+
+    def test_never_worse_than_start(self, g2):
+        res = _hillclimb(g2, cache_size=16, budget=15, seed=1)
+        assert res.best_io <= res.start_io
+
+    def test_improves_random_start(self, g2):
+        rng = np.random.default_rng(3)
+        res = _hillclimb(
+            g2, cache_size=16, start_order=rng.permutation(49),
+            budget=40, seed=4,
+        )
+        assert res.best_io <= res.start_io
+        # Random starts are bad enough that the climb finds something.
+        assert res.improvement >= 0.0
+
+    def test_recursive_is_local_optimum_ish(self, g2):
+        """The recursive order resists a small search budget — the
+        near-optimality evidence the E9 sandwich relies on."""
+        res = _hillclimb(g2, cache_size=16, budget=30, seed=7)
+        assert res.improvement < 0.05
+
+    def test_best_order_is_valid(self, g2):
+        rng = np.random.default_rng(9)
+        res = _hillclimb(
+            g2, cache_size=16, start_order=rng.permutation(49),
+            budget=10, seed=2,
+        )
+        sched = demand_driven_schedule(g2, res.best_order)
+        validate_schedule(g2, sched)
+
+    def test_budget_respected(self, g2):
+        res = _hillclimb(g2, cache_size=16, budget=5, seed=1)
+        assert res.evaluations <= 5
+
+    def test_bad_budget(self, g2):
+        with pytest.raises(ValueError):
+            _hillclimb(g2, cache_size=16, budget=0)
+
+    def test_improvement_property(self, g2):
+        res = _hillclimb(g2, cache_size=16, budget=3, seed=1)
+        assert 0.0 <= res.improvement < 1.0
 
 
 class TestDriver:

@@ -31,7 +31,8 @@ from repro.schedules import (
     recursive_schedule,
 )
 from repro.simcore import dispatch
-from repro.simcore.grid import run_grid, simulate_plan
+from repro.simcore.grid import run_grid
+from repro.simcore.plan import SchedulePlan
 from repro.simcore.policies import STATUS, STATUS_OK
 
 from ._reference import reference_run
@@ -121,7 +122,7 @@ class TestKernelEntryPoints:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_run_grid_matches_single_calls(self, seed):
         """The batched grid kernel returns exactly the per-config
-        scalar vectors of individual simulate_plan calls."""
+        scalar vectors of one-row run_grid calls."""
         g = _graph("strassen", 2)
         sched = random_topological_schedule(g, seed=seed)
         ex = CacheExecutor(g)
@@ -136,9 +137,9 @@ class TestKernelEntryPoints:
                 [_POLICY_CODES[p] for _, p in configs],
             )
             for row, (M, p) in zip(grid, configs):
-                one = simulate_plan(
+                (one,) = run_grid(
                     plan.kernel_arrays(), is_input, is_output,
-                    M, _POLICY_CODES[p],
+                    [M], [_POLICY_CODES[p]],
                 )
                 assert list(row) == list(one), (M, p)
 
@@ -151,15 +152,13 @@ class TestKernelEntryPoints:
         arrays = ex.compile(sched).to_arrays()
         for arr in arrays.values():
             arr.setflags(write=False)
-        from repro.pebbling.executor import _SchedulePlan
-
-        plan = _SchedulePlan.from_arrays(arrays, validated=True)
+        plan = SchedulePlan.from_arrays(arrays, validated=True)
         with dispatch.forced_mode(KERNEL_MODE):
-            sc = simulate_plan(
+            (sc,) = run_grid(
                 plan.kernel_arrays(),
                 np.ascontiguousarray(ex.is_input).view(np.uint8),
                 np.ascontiguousarray(ex.is_output).view(np.uint8),
-                12, _POLICY_CODES["belady"],
+                [12], [_POLICY_CODES["belady"]],
             )
         assert int(sc[STATUS]) == STATUS_OK
         ref, _ = reference_run(g, sched, 12, "belady")
@@ -201,3 +200,18 @@ class TestKernelEntryPoints:
                     CacheExecutor(g).run(
                         sched, 12, "lru", validate=False
                     )
+
+    @pytest.mark.parametrize("mode", ["off", KERNEL_MODE])
+    def test_unknown_policy_raises_cache_error(self, mode):
+        """An unknown eviction policy raises CacheError through run()
+        and run_many() alike, on every dispatch path."""
+        from repro.errors import CacheError
+
+        g = _graph("strassen", 1)
+        sched = recursive_schedule(g)
+        ex = CacheExecutor(g)
+        with dispatch.forced_mode(mode):
+            with pytest.raises(CacheError, match="unknown eviction policy"):
+                ex.run(sched, 12, "lfu")
+            with pytest.raises(CacheError, match="unknown eviction policy"):
+                ex.run_many(sched, (12,), ("lfu",))

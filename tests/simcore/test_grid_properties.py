@@ -3,7 +3,7 @@
 Random ``(graph family, schedule, policy, cache size)`` grids must be
 bit-identical, row for row, to
 
-- single-configuration kernel runs (:func:`simcore.grid.simulate_plan`),
+- single-configuration (one-row) :func:`simcore.grid.run_grid` calls,
 - the pure-Python fallback loops (:func:`simcore.pyloops.simulate_py`),
 - the frozen golden reference (``tests/pebbling/_reference.py``),
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bilinear import strassen, winograd
 from repro.cdag import build_cdag
 from repro.simcore import HAVE_NUMBA, SchedulePlan, forced_mode
-from repro.simcore.grid import run_grid, simulate_plan
+from repro.simcore.grid import run_grid
 from repro.simcore.policies import SC_LEN, STATUS, STATUS_OK
 from repro.simcore.pyloops import simulate_py
 from repro.schedules import (
@@ -86,30 +86,39 @@ class TestGridLockstepProperties:
 
         # Golden reference and fallback loops, once per configuration.
         want = []
+        want_trace = []
         for M, code in configs:
+            ref_trace: list[int] = []
             res, evictions = reference_run(
-                g, sched, int(M), POLICY_NAMES[code]
+                g, sched, int(M), POLICY_NAMES[code], io_trace=ref_trace
             )
             want.append((
                 res.reads, res.writes, res.input_reads, res.spill_reads,
                 res.spill_writes, res.output_writes, res.peak_cache,
                 evictions,
             ))
-            py = simulate_py(plan, is_input, is_output, int(M), int(code))
+            want_trace.append(ref_trace)
+            py_trace: list[int] = []
+            py = simulate_py(plan, is_input, is_output, int(M), int(code),
+                             py_trace)
             assert tuple(int(x) for x in py) == want[-1]
+            assert py_trace == ref_trace
 
         for mode in MODES:
             with forced_mode(mode):
-                out = run_grid(arrays, iu8, ou8, Ms, codes)
+                trace = np.zeros((len(configs), len(sched)), dtype=np.int64)
+                out = run_grid(arrays, iu8, ou8, Ms, codes, trace)
                 assert out.shape == (len(configs), SC_LEN)
                 for j, (M, code) in enumerate(configs):
                     assert int(out[j, STATUS]) == STATUS_OK
                     assert tuple(int(x) for x in out[j, :8]) == want[j], (
                         f"mode={mode} config={configs[j]}"
                     )
-                    single = simulate_plan(arrays, iu8, ou8, int(M),
-                                           int(code))
-                    assert np.array_equal(single, out[j]), (
+                    assert trace[j].tolist() == want_trace[j], (
+                        f"mode={mode} config={configs[j]}"
+                    )
+                    single = run_grid(arrays, iu8, ou8, [int(M)], [int(code)])
+                    assert np.array_equal(single[0], out[j]), (
                         f"mode={mode} config={configs[j]}"
                     )
 

@@ -133,7 +133,7 @@ KERNEL_MODE = "jit" if dispatch.HAVE_NUMBA else "interp"
 
 def test_kernel_path_counter_per_simulation(workload):
     """Each simulation increments exactly one
-    ``pebbling.kernel.{jit,interp,fallback}`` path counter — through
+    ``simcore.kernel.{jit,interp,fallback}`` path counter — through
     run() and once per configuration through run_many()."""
     g, sched = workload
     telemetry.enable()
@@ -143,18 +143,18 @@ def test_kernel_path_counter_per_simulation(workload):
         telemetry.reset()
         ex.run(sched, 8, "belady")
         reg = telemetry.metrics()
-        assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 1
-        assert reg.counter("pebbling.kernel.fallback").value == 0
+        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 1
+        assert reg.counter("simcore.kernel.fallback").value == 0
         ex.run_many(sched, (8, 12), ("lru", "belady"))
-        assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 5
+        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 5
 
     with dispatch.forced_mode("off"):
         telemetry.reset()
         ex.run(sched, 8, "belady")
         ex.run_many(sched, (8, 12), ("lru", "belady"))
         reg = telemetry.metrics()
-        assert reg.counter("pebbling.kernel.fallback").value == 5
-        assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 0
+        assert reg.counter("simcore.kernel.fallback").value == 5
+        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 0
 
 
 def test_kernel_counters_identical_across_paths(workload):
@@ -175,7 +175,7 @@ def test_kernel_counters_identical_across_paths(workload):
 
 def test_kernel_compile_gauge_set_once(workload):
     """The first kernel invocation publishes the
-    ``pebbling.kernel.compile_s`` gauge exactly once per registry life
+    ``simcore.kernel.compile_s`` gauge exactly once per registry life
     (on a cold numba cache the value is dominated by JIT compilation)."""
     g, sched = workload
     telemetry.enable()
@@ -184,7 +184,7 @@ def test_kernel_compile_gauge_set_once(workload):
     with dispatch.forced_mode(KERNEL_MODE):
         ex.run(sched, 8, "lru")
         ex.run(sched, 12, "belady")
-    gauge = telemetry.metrics().gauge("pebbling.kernel.compile_s")
+    gauge = telemetry.metrics().gauge("simcore.kernel.compile_s")
     assert gauge.count == 1
     assert gauge.last >= 0.0
 
@@ -202,7 +202,7 @@ def test_disabled_telemetry_skips_run_counters(workload):
     reg = telemetry.metrics()
     assert reg.gauge("pebbling.belady_gap").count == 0
     for path in ("jit", "interp", "fallback"):
-        assert reg.counter(f"pebbling.kernel.{path}").value == 0
+        assert reg.counter(f"simcore.kernel.{path}").value == 0
     # Plan cache accounting stays unconditional (cheap, and the
     # autotuner's dedupe contract reads it).
     assert reg.counter("pebbling.plan.miss").value == 1
