@@ -4,10 +4,12 @@ Two near-identical loops (recency-stamped LRU/FIFO vs next-use keyed
 Belady) over a :class:`~repro.simcore.plan.SchedulePlan`.  State is flat
 and dense: bytearray bitmaps plus per-vertex stamp/key lists, with a
 lazy heap replacing the reference implementation's O(|candidates|) min
-scans.  Victim choices are bit-identical to the golden reference
-policies kept under ``tests/`` *and* to the compiled kernels; the
-golden-equivalence tests enforce this across schedules x policies x
-cache sizes.
+scans.  Belady's heap is compacted to its live entries whenever it
+outgrows a multiple of the cache (``HEAP_COMPACT_*``), so its size is
+O(M) rather than O(schedule length).  Victim choices are bit-identical
+to the golden reference policies kept under ``tests/`` *and* to the
+compiled kernels; the golden-equivalence tests enforce this across
+schedules x policies x cache sizes.
 
 The optional ``events`` callback receives every implied machine move —
 ``("load", v)``, ``("store", v)``, ``("delete", v)``, ``("compute",
@@ -19,7 +21,7 @@ these events, with no second policy implementation involved.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -27,6 +29,15 @@ from repro.errors import CacheError, ScheduleError
 from repro.simcore.dispatch import count_path
 
 __all__ = ["simulate_py"]
+
+#: Belady heap compaction: once the lazy heap holds more than
+#: ``max(HEAP_COMPACT_FACTOR * live, HEAP_COMPACT_FLOOR)`` entries
+#: (``live`` = its size after the previous compaction), it is rebuilt
+#: from its live entries at the next step boundary.  The heap then stays
+#: O(M + floor) instead of growing with the schedule length, at O(1)
+#: amortised cost per push.
+HEAP_COMPACT_FACTOR = 4
+HEAP_COMPACT_FLOOR = 1024
 
 
 def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
@@ -203,6 +214,9 @@ def _py_simulate_belady(
     # BeladyPolicy's order.  Pops are destructive for non-candidate
     # entries, matching the reference's lazy invalidation exactly.
     heap: list[tuple[int, int]] = []
+    factor = HEAP_COMPACT_FACTOR
+    floor = HEAP_COMPACT_FLOOR
+    heap_limit = floor
 
     reads = writes = input_reads = spill_reads = spill_writes = 0
     output_writes = 0
@@ -298,6 +312,18 @@ def _py_simulate_belady(
             key[p] = nxt
             heappush(heap, (-nxt, p))
             uses_left[p] -= 1
+        if len(heap) > heap_limit:
+            # Compaction, exact at a step boundary: every cached vertex
+            # holds an entry under its current key (the pinned ones
+            # were re-pushed above), and entries of evicted or re-keyed
+            # vertices can never become victims — so keeping one
+            # current entry per cached vertex leaves every later victim
+            # choice unchanged.
+            heap[:] = {
+                e for e in heap if cached[e[1]] and -e[0] == key[e[1]]
+            }
+            heapify(heap)
+            heap_limit = max(factor * len(heap), floor)
         if io_trace is not None:
             io_trace.append(reads + writes)
 
