@@ -2,16 +2,17 @@
 
 Not tied to a paper figure; these keep the substrate's performance
 honest (CDAG construction, pebble-game execution, routing construction,
-the kernels) so the experiment benches stay fast as the code evolves.
+the kernels) so the experiments stay fast as the code evolves.
 
-Two entry points over the same workloads:
+Run it standalone::
 
-- ``pytest benchmarks/bench_micro.py`` — pytest-benchmark statistics for
-  interactive tuning;
-- ``python benchmarks/bench_micro.py [--json-out PATH]`` — standalone
-  run that emits one machine-readable JSON document (median-of-k wall
-  times per case plus the telemetry counters collected while running)
-  via :mod:`repro.telemetry.export`, for dashboards and CI artifacts.
+    python benchmarks/bench_micro.py [--repeats K] [--select SUBSTR]
+                                     [--json-out PATH]
+
+It emits one machine-readable JSON document (median-of-k wall times per
+case, derived speedups of the paired cases, and the telemetry counters
+collected while running) via :mod:`repro.telemetry.export`, for
+dashboards and CI artifacts.
 """
 
 import argparse
@@ -34,69 +35,6 @@ from repro.schedules import rank_order_schedule, recursive_schedule
 from repro.tracesim import FullyAssociativeLRU, trace_blocked
 
 
-def test_build_cdag_r4(benchmark):
-    benchmark(build_cdag, strassen(), 4)
-
-
-def test_metavertices_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    benchmark(compute_metavertices, g)
-
-
-def test_recursive_schedule_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    benchmark(recursive_schedule, g)
-
-
-def test_executor_lru_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    executor = CacheExecutor(g)
-    sched = executor.validate_schedule(recursive_schedule(g))
-    benchmark(executor.run, sched, 64, "lru", False)
-
-
-def test_executor_belady_r3(benchmark):
-    g = build_cdag(strassen(), 3)
-    executor = CacheExecutor(g)
-    sched = executor.validate_schedule(recursive_schedule(g))
-    benchmark(executor.run, sched, 64, "belady", False)
-
-
-def test_executor_run_many_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    executor = CacheExecutor(g)
-    sched = recursive_schedule(g)
-    benchmark(executor.run_many, sched, (12, 48, 96), ("lru", "belady"))
-
-
-def test_lemma3_routing_k3(benchmark):
-    g = build_cdag(strassen(), 3)
-    benchmark(lemma3_routing, g)
-
-
-def test_theorem2_routing_k2(benchmark):
-    g = build_cdag(strassen(), 2)
-    benchmark(theorem2_routing, g)
-
-
-def test_strassen_matmul_64(benchmark):
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((64, 64))
-    B = rng.standard_normal((64, 64))
-    benchmark(strassen_matmul, A, B, None, 8)
-
-
-def test_trace_sim_blocked_32(benchmark):
-    def run():
-        return FullyAssociativeLRU(192).run(trace_blocked(32, 8))
-
-    benchmark(run)
-
-
-# ---------------------------------------------------------------------------
-# Standalone machine-readable mode.
-
-
 def _reference_run():
     """The pre-vectorisation executor kept under ``tests/`` as the
     golden reference; benchmarked against the array core so the JSON
@@ -112,8 +50,8 @@ def _reference_run():
 
 
 def make_cases() -> dict:
-    """The same workloads as the pytest benches, with setup hoisted out
-    of the timed bodies; name -> zero-arg callable."""
+    """The benchmark cases, with setup hoisted out of the timed bodies;
+    name -> zero-arg callable."""
     g2 = build_cdag(strassen(), 2)
     g3 = build_cdag(strassen(), 3)
     g4 = build_cdag(strassen(), 4)

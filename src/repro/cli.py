@@ -14,8 +14,6 @@ Subcommands:
   unclean death), ``--heartbeat``/``--deadline`` harden long sweeps,
   and ``--chaos SEED`` soaks the whole pipeline under a deterministic
   fault plan (see :mod:`repro.chaos`);
-- ``perf``                  — record or compare ``BENCH_<exp>.json``
-  perf baselines (``--compare`` exits nonzero on regression);
 - ``graph-cache``           — inspect (``ls``), prune (``gc``) or
   pre-build (``warm``) the compiled-graph bundle store that
   ``sweep --graph-cache`` and the ``REPRO_GRAPH_CACHE`` environment
@@ -246,46 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
              "terminates, then verify the store healed",
     )
     _add_profile_flags(p_sweep)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="record or compare perf baselines (BENCH_<exp>.json)",
-        description=(
-            "Without --compare, measure the selected experiments "
-            "(median of --repeats runs, telemetry counters attached) and "
-            "write BENCH_<exp>.json snapshots.  With --compare, "
-            "re-measure and diff against the committed snapshots, "
-            "exiting nonzero when any median time regresses past "
-            "--threshold (counter drift is reported, not gated)."
-        ),
-    )
-    p_perf.add_argument(
-        "ids", nargs="*", help="experiment ids (default: E1 E2 E3)"
-    )
-    p_perf.add_argument(
-        "--repeats", type=int, default=3, metavar="K",
-        help="timed runs per experiment; the median is kept (default 3)",
-    )
-    p_perf.add_argument(
-        "--compare", action="store_true",
-        help="compare against stored baselines instead of rewriting them",
-    )
-    p_perf.add_argument(
-        "--threshold", type=float, default=1.5, metavar="RATIO",
-        help="max allowed current/baseline median-time ratio (default 1.5)",
-    )
-    p_perf.add_argument(
-        "--bench-dir", default=".", metavar="DIR",
-        help="where BENCH_<exp>.json files live (default: repo root '.')",
-    )
-    p_perf.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also write the measurement spans as a Chrome trace",
-    )
-    p_perf.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="also write combined spans+metrics JSON",
-    )
 
     p_gcache = sub.add_parser(
         "graph-cache",
@@ -732,20 +690,6 @@ def _cmd_sweep(args) -> int:
     return code
 
 
-def _cmd_perf(args) -> int:
-    from repro.telemetry.baseline import run_perf
-
-    return run_perf(
-        args.ids or None,
-        repeats=args.repeats,
-        root=args.bench_dir,
-        compare=args.compare,
-        threshold=args.threshold,
-        trace_out=args.trace_out,
-        json_out=args.json_out,
-    )
-
-
 def _cmd_graph_cache(args) -> int:
     import os
 
@@ -931,8 +875,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_experiments(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "graph-cache":
         return _cmd_graph_cache(args)
     if args.command == "tune":

@@ -563,24 +563,18 @@ class CacheExecutor:
             ]
             for i, (future, part) in enumerate(zip(futures, parts)):
                 wall, mode, counts_list = future.result()
-                # Throughput, not just raw counts: the partition's
-                # configs-per-second is the quantity worker-count
-                # tuning actually optimises, so each partition span
-                # carries it and the registry keeps the last value as
-                # a gauge.
-                configs_per_s = len(part) / wall if wall > 0 else 0.0
-                with span("pebbling.run_many.partition", partition=i) as sp:
-                    sp.set("configs", len(part))
-                    sp.set("worker_wall_s", round(wall, 6))
-                    sp.set("configs_per_s", round(configs_per_s, 3))
-                    sp.set("path", mode)
+                # Attrs, not span counters: counters fold into the
+                # registry, which holds only deterministic counts.
+                with span(
+                    "pebbling.run_many.partition", partition=i,
+                    configs=len(part), worker_wall_s=round(wall, 6),
+                    path=mode,
+                ):
+                    pass
                 if record:
                     # Workers run with telemetry disabled, so the
                     # parent re-emits the core's path counters.
                     _dispatch.count_path(mode, len(part))
-                    metrics().gauge(
-                        "pebbling.run_many.configs_per_s"
-                    ).set(configs_per_s)
                 raw.update(zip(part, counts_list))
         return [raw[cfg] for cfg in configs]
 

@@ -1,5 +1,4 @@
-"""Zero-dependency instrumentation: spans, metrics, exporters, perf
-baselines.
+"""Zero-dependency instrumentation: spans, metrics, exporters.
 
 The paper's objects — ``G_k`` construction, Theorem 2's ``6 a^k``
 routing assembly, pebble-game execution — dominate wall-clock as ``k``
@@ -14,11 +13,9 @@ any result:
   histograms whose canonical states form a commutative merge monoid
   (mirroring ``CacheStats``), so per-worker shards from the sweep pool
   aggregate cleanly;
-- :mod:`repro.telemetry.export` — JSON, Prometheus text format, and
-  Chrome ``trace_event`` exporters (open a routing run or an E9 sweep
-  directly in ``chrome://tracing`` / Perfetto);
-- :mod:`repro.telemetry.baseline` — ``BENCH_<exp>.json`` perf
-  snapshots plus ``python -m repro perf --compare`` regression gating.
+- :mod:`repro.telemetry.export` — JSON and Chrome ``trace_event``
+  exporters (open a routing run or an E9 sweep directly in
+  ``chrome://tracing`` / Perfetto).
 
 Quick start::
 
@@ -33,18 +30,7 @@ Set ``REPRO_TELEMETRY=1`` to enable collection at import time (the CLI
 ``--profile`` flags do this per command).
 """
 
-from repro.telemetry.baseline import (
-    DEFAULT_PERF_IDS,
-    bench_filename,
-    bench_path,
-    compare_docs,
-    load_baseline,
-    measure_experiment,
-    run_perf,
-    write_baseline,
-)
 from repro.telemetry.export import (
-    metrics_to_prometheus,
     spans_to_chrome_trace,
     telemetry_to_json,
     write_chrome_trace,
@@ -97,18 +83,8 @@ __all__ = [
     # export
     "spans_to_chrome_trace",
     "write_chrome_trace",
-    "metrics_to_prometheus",
     "telemetry_to_json",
     "write_json",
-    # baselines
-    "DEFAULT_PERF_IDS",
-    "bench_filename",
-    "bench_path",
-    "measure_experiment",
-    "write_baseline",
-    "load_baseline",
-    "compare_docs",
-    "run_perf",
 ]
 
 

@@ -16,7 +16,7 @@ losslessly and order-independently:
 
 Registries serialise to JSON-native dicts (:meth:`MetricsRegistry.as_dict`
 / :meth:`from_dict`) so they can cross the process-pool boundary and be
-embedded in perf-baseline snapshots.
+embedded in :func:`~repro.telemetry.export.telemetry_to_json` snapshots.
 """
 
 from __future__ import annotations

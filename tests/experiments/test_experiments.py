@@ -5,6 +5,9 @@ the machine-verdict on the corresponding paper statement (see DESIGN.md
 section 3 for the experiment <-> paper map).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ExperimentResult, get_experiment, list_experiments
@@ -79,3 +82,13 @@ class TestParameterisation:
         assert result.checks["search never regresses the start order"]
         assert result.checks["measured I/O stays above the Theorem-1 bound"]
         assert result.data["trajectory"]
+
+
+def test_e15_matches_committed_bench_tune(default_result):
+    """``BENCH_tune.json`` records E15's grid point; the default run
+    must reproduce its tuned I/O and fixed-family I/O exactly."""
+    bench_path = Path(__file__).resolve().parents[2] / "BENCH_tune.json"
+    bench = json.loads(bench_path.read_text(encoding="utf-8"))
+    result = default_result("E15")
+    assert result.data["tuned_io"] == bench["tuned_io"]
+    assert result.data["families"] == bench["families"]

@@ -1,5 +1,5 @@
 """Seeded randomised schedules are bit-reproducible — including their
-telemetry counters, so perf baselines of seeded runs are stable."""
+telemetry counters, so seeded runs can be pinned exactly."""
 
 import numpy as np
 import pytest

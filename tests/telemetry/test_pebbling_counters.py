@@ -2,8 +2,8 @@
 
 The ``pebbling.run`` span counters (scheduled/reads/writes/evictions/
 spill_reads/spill_writes, plus the ``peak_cache`` value) are part of the
-executor's observable contract: dashboards and perf baselines consume
-them.  The vectorised core must emit exactly the values the reference
+executor's observable contract: dashboards and the exact counter pins
+in ``tests/experiments/test_counter_pins.py`` consume them.  The vectorised core must emit exactly the values the reference
 simulator implies — per configuration, and identically through
 ``run()`` and ``run_many()``.
 """
