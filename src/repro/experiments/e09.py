@@ -26,12 +26,16 @@ schedule steps every configuration row together
 makes the extended grid — ``r_big=7`` (n = 128), the crossover regime
 against the tight classical bound of Smith et al. and the
 memory-independent parallel bounds of Demmel et al. — complete in
-seconds instead of minutes.  ``workers`` partitions each ``run_many``
-grid across a process pool on top of that.  ``workers=None`` defers to
-``REPRO_RUN_MANY_WORKERS`` and, with that unset, to ``run_many``'s
-default: on the pure-Python fallback path the grids of at least 2^14
-simulated steps (r >= 4 here) use up to two usable CPUs, smaller ones
-stay serial; ``workers=1`` keeps every grid serial.
+seconds instead of minutes.  On the pure-Python fallback path the LRU
+cells of each grid come from one stack-distance pass for every ``M``
+(:mod:`repro.simcore.stack`) and only the Belady cells run one loop
+per ``M``.  ``workers`` partitions those Belady cells across a process
+pool.  ``workers=None`` defers to ``REPRO_RUN_MANY_WORKERS`` and, with
+that unset, to ``run_many``'s default: on the fallback path the Belady
+cells of a grid use up to two usable CPUs when they simulate at least
+20,000 steps (r >= 4 here; the parent runs the LRU pass meanwhile), and
+smaller grids and the LRU-only rank-order grids stay serial;
+``workers=1`` keeps every grid serial.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ arrays gathered from the CDAG's predecessor CSR, per-occurrence
 per-vertex Python lists or cursor dicts), per-vertex first-use times
 and initial use counts.
 
-Two simulation paths run over a plan, behind one dispatch function
+Three simulation paths run over a plan, behind one dispatch function
 (:func:`_simulate`, shared by :meth:`CacheExecutor.run`,
 :meth:`CacheExecutor.run_many` and the pool workers):
 
@@ -40,31 +40,40 @@ Two simulation paths run over a plan, behind one dispatch function
   lockstep grid kernel — ``(config, slot)`` 2-D state advanced through
   each schedule step for every configuration at once, one ``run_grid``
   call per batch (a single run is its one-row case, with an optional
-  trace row).  It is taken whenever numba is importable and
-  ``REPRO_NO_JIT`` is unset.  Plans loaded from graph-cache bundles
-  feed the kernel straight from their read-only memmaps — no
-  ``ensure_lists`` materialisation on this path;
-- **pure-Python loops** (:mod:`repro.simcore.pyloops`, the fallback,
-  kept bit-identical): dense flat structures indexed by vertex id (flat
-  bitmaps for cached/dirty/in-slow, per-vertex stamp/key lists) with a
-  lazy min-heap replacing the reference implementation's
-  O(|candidates|) scans.
+  trace row).  It is taken for every policy whenever numba is
+  importable and ``REPRO_NO_JIT`` is unset.  Plans loaded from
+  graph-cache bundles feed the kernel straight from their read-only
+  memmaps — no ``ensure_lists`` materialisation on this path;
+- **the LRU stack pass** (:func:`repro.simcore.stack.lru_counts`), on
+  the fallback path (numba absent or ``REPRO_NO_JIT=1``): every LRU
+  configuration without an ``io_trace`` of a call comes from one
+  vectorised stack-distance pass over the schedule — LRU is a stack
+  algorithm, so the pass yields the counts of every cache size at once;
+- **pure-Python loops** (:mod:`repro.simcore.pyloops`, the rest of the
+  fallback path: FIFO, Belady and traced runs, kept bit-identical):
+  dense flat structures indexed by vertex id (flat bitmaps for
+  cached/dirty/in-slow, per-vertex stamp/key lists) with a lazy
+  min-heap replacing the reference implementation's O(|candidates|)
+  scans, one loop per configuration.
 
-Both paths make the exact victim choices of the golden reference
-simulator retained under ``tests/pebbling/_reference.py`` — the
-golden-equivalence tests enforce bit-identity across schedules x
-policies x cache sizes, and the core's
-``simcore.kernel.{jit,interp,fallback}`` counters record which path
-each configuration took.
+The policy and the trace request decide the path; there is no other
+switch.  All paths make the exact victim choices (and counts) of the
+golden reference simulator retained under
+``tests/pebbling/_reference.py`` — the golden-equivalence tests enforce
+bit-identity across schedules x policies x cache sizes, and the core's
+``simcore.kernel.{jit,interp,fallback,stack}`` counters record which
+path each configuration took.
 
 Plans are cached on the executor and shared across cache sizes and
 policies; :meth:`CacheExecutor.run_many` exposes that reuse as a batched
 sweep API (validate once, precompute once, run every ``(M, policy)``
 configuration — in one lockstep ``run_grid`` call on the kernel path —
 optionally partitioned across a ``ProcessPoolExecutor`` via
-``workers=`` for multi-core scaling).  On the fallback path, grids of at
-least :data:`AUTO_PARTITION_MIN_STEPS` simulated steps are partitioned
-across up to :data:`AUTO_PARTITION_MAX_WORKERS` usable CPUs by default;
+``workers=`` for multi-core scaling).  On the fallback path only the
+FIFO and Belady configurations go to the pool — the parent runs the LRU
+stack pass while the workers run — and those of at least
+:data:`AUTO_PARTITION_MIN_STEPS` simulated steps are partitioned across
+up to :data:`AUTO_PARTITION_MAX_WORKERS` usable CPUs by default;
 ``workers=1`` or ``REPRO_RUN_MANY_WORKERS=1`` keeps them serial.
 """
 
@@ -87,6 +96,7 @@ from repro.simcore import grid as _grid
 from repro.simcore import policies as _policies
 from repro.simcore.plan import SchedulePlan, gather_operands
 from repro.simcore.pyloops import simulate_py
+from repro.simcore.stack import lru_counts
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
 from repro.telemetry.spans import span
@@ -104,16 +114,19 @@ EXECUTOR_VERSION = "1"
 #: :func:`_partition_count`.
 ENV_RUN_MANY_WORKERS = "REPRO_RUN_MANY_WORKERS"
 
-#: Automatic partitioning threshold: a fallback-path grid is split
-#: across CPUs only when it simulates at least this many schedule steps
-#: in total (``plan.n_steps * len(configs)``).  Set at the measured
-#: serial-vs-pool crossover (2 vCPU VM, Python 3.11, two workers,
-#: median of 9-11 alternating runs on Strassen grids): the pool lost
-#: at 8,068 steps (1.55-1.60x the serial time) and 12,102 (1.12-1.19x)
-#: and on E9's r=3 belady+lru grid at 16,136 (1.26-1.40x; an LRU-only
-#: grid of that size won, 0.72x), and won every grid from 20,170 steps
-#: up (0.57-0.78x; E9's r=4 grids 0.66-0.70x).
-AUTO_PARTITION_MIN_STEPS = 1 << 14
+#: Automatic partitioning threshold: the FIFO and Belady configurations
+#: of a fallback-path grid are split across CPUs only when they simulate
+#: at least this many schedule steps in total (``plan.n_steps`` times
+#: their number; LRU configurations take the parent's stack pass and do
+#: not count).  Set at the measured serial-vs-pool crossover with the
+#: parent running the LRU pass beside the workers (2 vCPU VM, Python
+#: 3.11, two workers, median of 10-11 alternating runs on Strassen
+#: recursive belady+lru grids, pool time over serial time): the pool
+#: lost at 8,068 Belady steps (E9's r=3 grid, 1.60x), 16,136 (1.14x)
+#: and 18,153 (1.23x), and won from 20,170 up: 0.72x at 20,170, 0.73x
+#: at 24,204, 0.74x on E9's r=4 grid (61,084), 0.56x on r=5 and 0.61x
+#: on r=6.
+AUTO_PARTITION_MIN_STEPS = 20_000
 
 #: Most partitions the automatic choice starts.  Every worker holds its
 #: own copy of the plan's Python lists and simulation state, so the
@@ -234,15 +247,38 @@ def _requested_workers(workers: int | None) -> int | None:
         ) from None
 
 
-def _cgroup_cpu_limit(root: str = "/sys/fs/cgroup") -> int | None:
-    """The CPU quota of the cgroup mounted at ``root`` in whole CPUs
-    (rounded up): cgroup v2 ``cpu.max``, else v1
-    ``cpu/cpu.cfs_quota_us`` over ``cpu/cpu.cfs_period_us``.  None when
-    there is no quota or it cannot be read."""
+def _cgroup_cpu_limit(
+    root: str = "/sys/fs/cgroup", self_cgroup: str = "/proc/self/cgroup"
+) -> int | None:
+    """The CPU quota of this process's cgroup in whole CPUs (rounded
+    up).  cgroup v2: the smallest ``cpu.max`` quota of the process's own
+    cgroup (the ``0::<path>`` line of ``self_cgroup``, under ``root``)
+    and its ancestors up to ``root`` — a quota set on a nested slice
+    applies to everything below it.  Without a readable ``cpu.max``
+    there, cgroup v1: ``cpu/cpu.cfs_quota_us`` over
+    ``cpu/cpu.cfs_period_us`` under ``root``.  None when there is no
+    quota or it cannot be read."""
+    own = ""
     try:
-        with open(os.path.join(root, "cpu.max")) as fh:
-            quota, period = fh.read().split()[:2]
-    except (OSError, ValueError):
+        with open(self_cgroup) as fh:
+            for line in fh:
+                if line.startswith("0::"):
+                    own = line[3:].strip().strip("/")
+    except OSError:
+        pass
+    levels = [own]
+    while own:
+        own = os.path.dirname(own)
+        levels.append(own)
+    quotas = []
+    for level in levels:
+        try:
+            with open(os.path.join(root, level, "cpu.max")) as fh:
+                quota, period = fh.read().split()[:2]
+        except (OSError, ValueError):
+            continue
+        quotas.append((quota, period))
+    if not quotas:
         try:
             with open(os.path.join(root, "cpu", "cpu.cfs_quota_us")) as fh:
                 quota = fh.read().strip()
@@ -250,6 +286,15 @@ def _cgroup_cpu_limit(root: str = "/sys/fs/cgroup") -> int | None:
                 period = fh.read().strip()
         except OSError:
             return None
+        quotas.append((quota, period))
+    cpus = [_whole_cpus(quota, period) for quota, period in quotas]
+    cpus = [n for n in cpus if n is not None]
+    return min(cpus) if cpus else None
+
+
+def _whole_cpus(quota: str, period: str) -> int | None:
+    """A CFS quota over its period in whole CPUs, rounded up; None for
+    no quota (``max`` or ``-1``)."""
     try:
         quota_us, period_us = int(quota), int(period)
     except ValueError:  # "max": no quota
@@ -278,10 +323,11 @@ def _partition_count(workers: int | None, n_steps: int, n_configs: int) -> int:
     see :func:`_requested_workers`) wins.  Otherwise a grid is split
     across the usable CPUs, at most :data:`AUTO_PARTITION_MAX_WORKERS`,
     only when all of these hold: it runs on the pure-Python fallback
-    path (the kernel path steps a grid in one call), it simulates at
-    least :data:`AUTO_PARTITION_MIN_STEPS` steps, and this process is
-    not itself a multiprocessing child (no pool nested inside a sweep
-    job or a partition worker).
+    path (the kernel path steps a grid in one call), its ``n_configs``
+    pool configurations (see :func:`_pooled`) simulate at least
+    :data:`AUTO_PARTITION_MIN_STEPS` steps, and this process is not
+    itself a multiprocessing child (no pool nested inside a sweep job
+    or a partition worker).
     """
     if workers is None:
         workers = 1
@@ -296,22 +342,41 @@ def _partition_count(workers: int | None, n_steps: int, n_configs: int) -> int:
     return max(1, min(workers, n_configs))
 
 
+def _pooled(configs) -> list:
+    """The configurations :meth:`CacheExecutor.run_many` may hand to
+    pool workers: all of them on the kernel path; on the fallback path
+    only FIFO and Belady, which run one loop per configuration.  Every
+    LRU configuration there comes from one stack pass in the parent."""
+    if _dispatch.active_mode() != "off":
+        return list(configs)
+    return [cfg for cfg in configs if cfg[1] != "lru"]
+
+
 def _simulate(plan, is_input, is_output, configs, io_trace=None):
     """Run ``(cache_size, policy)`` configurations over a compiled plan:
-    one lockstep ``run_grid`` call on the kernel path, one pure-Python
-    loop per configuration otherwise (``REPRO_NO_JIT=1`` or numba
-    absent).  Returns one raw count tuple ``(reads, writes,
+    one lockstep ``run_grid`` call on the kernel path; otherwise
+    (``REPRO_NO_JIT=1`` or numba absent) one stack pass
+    (:func:`repro.simcore.stack.lru_counts`) for every LRU
+    configuration and one pure-Python loop per FIFO or Belady
+    configuration.  Returns one raw count tuple ``(reads, writes,
     input_reads, spill_reads, spill_writes, output_writes, peak,
     evictions)`` per configuration.
 
     ``io_trace`` (single-configuration calls only) receives the
-    cumulative I/O count after each schedule step.
+    cumulative I/O count after each schedule step; a traced run takes
+    the per-configuration loop on the fallback path, whatever its
+    policy.
     """
     codes = _policy_codes(configs)
     if _dispatch.active_mode() == "off":
+        lru_Ms = [] if io_trace is not None else [
+            M for M, policy in configs if policy == "lru"
+        ]
+        stacked = iter(lru_counts(plan, is_input, is_output, lru_Ms))
         return [
-            simulate_py(plan, is_input, is_output, M, code, io_trace)
-            for (M, _), code in zip(configs, codes)
+            next(stacked) if lru_Ms and policy == "lru"
+            else simulate_py(plan, is_input, is_output, M, code, io_trace)
+            for (M, policy), code in zip(configs, codes)
         ]
     trace = (
         np.zeros((1, plan.n_steps), dtype=np.int64)
@@ -492,17 +557,21 @@ class CacheExecutor:
         use-list precompute exactly once.
 
         On the compiled path the whole grid is stepped by one
-        ``run_grid`` kernel call.  With ``workers > 1`` (or
-        ``REPRO_RUN_MANY_WORKERS`` > 1) the grid is partitioned
-        round-robin across a ``ProcessPoolExecutor`` — one
+        ``run_grid`` kernel call; on the fallback path one stack pass
+        answers every LRU configuration and FIFO and Belady run one
+        loop each.  With ``workers > 1`` (or ``REPRO_RUN_MANY_WORKERS``
+        > 1) the grid — on the fallback path its FIFO and Belady
+        configurations, while this process runs the LRU pass — is
+        partitioned round-robin across a ``ProcessPoolExecutor``; one
         ``pebbling.run_many.partition`` span per partition records the
         worker wall time and path taken.  With neither set, large
-        grids on the fallback path are partitioned across up to
+        fallback-path grids are partitioned across up to
         :data:`AUTO_PARTITION_MAX_WORKERS` usable CPUs by default (see
-        :func:`_partition_count`); pass
-        ``workers=1`` or set ``REPRO_RUN_MANY_WORKERS=1`` to keep every
-        grid serial.  Policy names and the environment variable are
-        checked before the plan is built or a pool started.
+        :func:`_partition_count`); an LRU-only grid never starts a
+        pool.  Pass ``workers=1`` or set ``REPRO_RUN_MANY_WORKERS=1``
+        to keep every grid serial.  Policy names and the environment
+        variable are checked before the plan is built or a pool
+        started.
 
         Returns ``{(cache_size, policy): IOResult}``.  The simulation
         runs inside one ``pebbling.run_many`` span; beneath it,
@@ -522,14 +591,17 @@ class CacheExecutor:
                 machines[M] = MachineModel(cache_size=M)
                 machines[M].check_executable(self.cdag)
         plan = self._plan(schedule, validate)
-        n_parts = _partition_count(workers, plan.n_steps, len(configs))
+        pooled = _pooled(configs)
+        n_parts = _partition_count(workers, plan.n_steps, len(pooled))
         record = _telemetry_enabled()
 
         with span(
             "pebbling.run_many", partitions=n_parts, configs=len(configs)
         ):
             if n_parts > 1:
-                raw = self._run_partitions(plan, configs, n_parts, record)
+                raw = self._run_partitions(
+                    plan, configs, pooled, n_parts, record
+                )
             else:
                 raw = _simulate(plan, self.is_input, self.is_output, configs)
             results: dict[tuple[int, str], IOResult] = {}
@@ -543,12 +615,18 @@ class CacheExecutor:
                 results[(M, policy)] = result
         return results
 
-    def _run_partitions(self, plan, configs, n_parts: int, record: bool):
-        """Fan a config grid out round-robin over ``n_parts`` pool
-        workers; returns the raw count tuples in ``configs`` order."""
+    def _run_partitions(
+        self, plan, configs, pooled, n_parts: int, record: bool
+    ):
+        """Fan the ``pooled`` configurations out round-robin over
+        ``n_parts`` pool workers and run the rest (the fallback path's
+        LRU stack pass) in this process while they work; returns the
+        raw count tuples in ``configs`` order."""
         from concurrent.futures import ProcessPoolExecutor
 
-        parts = [configs[i::n_parts] for i in range(n_parts)]
+        parts = [pooled[i::n_parts] for i in range(n_parts)]
+        in_pool = set(pooled)
+        local = [cfg for cfg in configs if cfg not in in_pool]
         # Plans may wrap read-only memmaps; to_arrays() yields plain
         # contiguous arrays that pickle by value.
         arrays = plan.to_arrays()
@@ -561,6 +639,12 @@ class CacheExecutor:
                 )
                 for part in parts
             ]
+            # Every worker has started by now: a forked one does not
+            # inherit the memory of the local share.
+            if local:
+                raw.update(zip(local, _simulate(
+                    plan, self.is_input, self.is_output, local
+                )))
             for i, (future, part) in enumerate(zip(futures, parts)):
                 wall, mode, counts_list = future.result()
                 # Attrs, not span counters: counters fold into the

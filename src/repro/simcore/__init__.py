@@ -4,7 +4,7 @@ One simulation engine serves every simulator in the repository:
 
 - :mod:`repro.simcore.dispatch` — the single kernel-mode gate
   (``jit`` / ``interp`` / ``off``) plus the shared telemetry hooks
-  (``simcore.kernel.{jit,interp,fallback}`` path counters and the
+  (``simcore.kernel.{jit,interp,fallback,stack}`` path counters and the
   first-call ``simcore.kernel.compile_s`` gauge);
 - :mod:`repro.simcore.plan` — :class:`SchedulePlan`, the
   policy-independent ``(graph, schedule)`` precompute (operand CSR,
@@ -18,6 +18,9 @@ One simulation engine serves every simulator in the repository:
   one-row case), thread-chunked under numba;
 - :mod:`repro.simcore.pyloops` — the bit-identical pure-Python fallback
   (also the pebble-game event source);
+- :mod:`repro.simcore.stack` — the fallback path's one-pass LRU
+  simulation: a vectorised stack-distance pass that gives the counts of
+  every cache size at once (LRU is a stack algorithm);
 - :mod:`repro.simcore.trace` — the address-trace LRU engine
   (:class:`CacheStats`, the dict core, and the columnar multi-capacity
   trace kernel);
@@ -40,6 +43,7 @@ from repro.simcore.dispatch import (
 from repro.simcore.grid import run_grid
 from repro.simcore.plan import SchedulePlan, gather_operands
 from repro.simcore.pyloops import simulate_py
+from repro.simcore.stack import lru_counts
 from repro.simcore.trace import CacheStats, LRUCacheCore, run_trace_grid
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "gather_operands",
     "run_grid",
     "simulate_py",
+    "lru_counts",
     "CacheStats",
     "LRUCacheCore",
     "run_trace_grid",

@@ -19,8 +19,9 @@ numba is an *optional* dependency (the ``speed`` extra).  Three modes:
   the kernel algorithm everywhere.
 
 Callers count the path taken per simulation
-(``simcore.kernel.{jit,interp,fallback}``, one increment per
-configuration) and the wall time of the first kernel invocation per
+(``simcore.kernel.{jit,interp,fallback,stack}``, one increment per
+configuration; ``stack`` is the fallback path's one-pass LRU simulation,
+:mod:`repro.simcore.stack`) and the wall time of the first kernel invocation per
 process (``simcore.kernel.compile_s`` — on a cold numba cache this is
 dominated by JIT compilation).
 """
@@ -146,7 +147,7 @@ def note_first_call(elapsed: float) -> None:
 
 def count_path(mode: str, n: int = 1) -> None:
     """Increment the core's per-simulation path counter
-    (``simcore.kernel.{jit,interp,fallback}``); ``n`` simulations at
+    (``simcore.kernel.{jit,interp,fallback,stack}``); ``n`` simulations at
     once for batched grids.  No-op while telemetry is disabled."""
     if n and _telemetry_enabled():
         name = mode if mode != "off" else "fallback"

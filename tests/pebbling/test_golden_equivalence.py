@@ -13,7 +13,10 @@ The whole grid runs against *both* executor paths: the pure-Python
 fallback loops (``off``) and the kernel algorithm from
 :mod:`repro.simcore.grid` (``interp`` when numba is absent, so the
 exact code numba would compile runs under the plain interpreter; the
-compiled ``jit`` path when numba is installed).
+compiled ``jit`` path when numba is installed).  On the fallback path
+the untraced LRU configurations of ``run`` and ``run_many`` come from
+the one-pass stack simulation (:mod:`repro.simcore.stack`), so the
+``run_many`` legs check it too; traced runs take the per-size loops.
 """
 
 import pytest
@@ -88,6 +91,18 @@ def test_run_many_matches_reference(sim_path):
     for (M, policy), res in results.items():
         ref, _ = reference_run(g, sched, M, policy)
         assert res == ref, (M, policy)
+
+
+@pytest.mark.parametrize("label,g,sched", CASES, ids=[c[0] for c in CASES])
+def test_lru_grid_matches_reference(label, g, sched, sim_path):
+    """A multi-size LRU grid — one stack pass on the fallback path —
+    equals one reference run per cache size."""
+    m0 = min_cache_size(g)
+    cache_sizes = (m0, m0 + 1, m0 + 3, 2 * m0, 4 * m0, g.n_vertices + 1)
+    results = CacheExecutor(g).run_many(sched, cache_sizes, ("lru",))
+    for M in cache_sizes:
+        ref, _ = reference_run(g, sched, M, "lru")
+        assert results[(M, "lru")] == ref, (label, M)
 
 
 def test_run_matches_run_many(sim_path):

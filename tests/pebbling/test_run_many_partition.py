@@ -97,6 +97,55 @@ class TestDecisionRule:
             assert _decide(1, BIG, 8) == 1
 
 
+class TestStackPassRouting:
+    """On the fallback path every LRU cell comes from one stack pass in
+    the parent; only FIFO and Belady cells are pool work."""
+
+    def test_lru_only_grid_starts_no_pool(
+        self, strassen_r2, four_cpus, no_pool, monkeypatch
+    ):
+        g, sched = strassen_r2
+        monkeypatch.setattr(executor_mod, "AUTO_PARTITION_MIN_STEPS", 0)
+        with dispatch.forced_mode("off"):
+            ex = CacheExecutor(g)
+            results = ex.run_many(sched, (8, 12, 24, 48, 96), ("lru",))
+            assert results == {
+                (M, "lru"): ex.run(sched, M, "lru") for M in (8, 12, 24, 48, 96)
+            }
+
+    def test_partition_count_sees_only_loop_configurations(
+        self, strassen_r2, monkeypatch
+    ):
+        g, sched = strassen_r2
+        seen = []
+        real = executor_mod._partition_count
+
+        def spy(workers, n_steps, n_configs):
+            seen.append(n_configs)
+            return real(workers, n_steps, n_configs)
+
+        monkeypatch.setattr(executor_mod, "_partition_count", spy)
+        grid = ((8, 12, 24), ("lru", "fifo", "belady"))
+        with dispatch.forced_mode("off"):
+            CacheExecutor(g).run_many(sched, *grid, workers=1)
+        with dispatch.forced_mode("interp"):
+            CacheExecutor(g).run_many(sched, *grid, workers=1)
+        assert seen == [6, 9]
+
+    def test_threshold_counts_loop_steps_only(
+        self, strassen_r2, four_cpus, no_pool, monkeypatch
+    ):
+        """Six cells would cross the threshold; the three Belady cells
+        alone do not, so the grid stays serial."""
+        g, sched = strassen_r2
+        n_steps = CacheExecutor(g).compile(sched).n_steps
+        monkeypatch.setattr(
+            executor_mod, "AUTO_PARTITION_MIN_STEPS", 4 * n_steps
+        )
+        with dispatch.forced_mode("off"):
+            CacheExecutor(g).run_many(sched, (8, 12, 24), ("lru", "belady"))
+
+
 class TestUsableCpus:
     @pytest.mark.parametrize(
         "cpu_max,expected",
@@ -118,6 +167,49 @@ class TestUsableCpus:
 
     def test_no_cgroup_files_means_no_limit(self, tmp_path):
         assert executor_mod._cgroup_cpu_limit(str(tmp_path)) is None
+
+    @staticmethod
+    def _nested(tmp_path, own: str, quotas: dict[str, str]):
+        """A cgroup v2 tree under ``tmp_path/fs`` with ``cpu.max`` at the
+        given relative paths, and a ``/proc/self/cgroup`` naming
+        ``own``; returns the two paths."""
+        root = tmp_path / "fs"
+        root.mkdir()
+        for rel, cpu_max in quotas.items():
+            (root / rel).mkdir(parents=True, exist_ok=True)
+            (root / rel / "cpu.max").write_text(cpu_max)
+        self_cgroup = tmp_path / "cgroup"
+        self_cgroup.write_text(f"1:name=systemd:/x\n0::{own}\n")
+        return str(root), str(self_cgroup)
+
+    def test_cgroup_v2_quota_on_the_own_nested_cgroup(self, tmp_path):
+        """The real root cgroup has no ``cpu.max``; a quota on the
+        process's own slice still counts."""
+        root, self_cgroup = self._nested(
+            tmp_path, "/system.slice/job.service",
+            {"system.slice/job.service": "300000 100000\n"},
+        )
+        assert executor_mod._cgroup_cpu_limit(root, self_cgroup) == 3
+
+    def test_cgroup_v2_smallest_quota_among_ancestors(self, tmp_path):
+        root, self_cgroup = self._nested(
+            tmp_path, "/a/b/c",
+            {"": "max 100000\n", "a": "150000 100000\n",
+             "a/b": "400000 100000\n", "a/b/c": "max 100000\n"},
+        )
+        assert executor_mod._cgroup_cpu_limit(root, self_cgroup) == 2
+
+    def test_cgroup_v2_root_path_reads_the_root_only(self, tmp_path):
+        root, self_cgroup = self._nested(
+            tmp_path, "/", {"": "200000 100000\n", "a": "100000 100000\n"},
+        )
+        assert executor_mod._cgroup_cpu_limit(root, self_cgroup) == 2
+
+    def test_no_quota_anywhere_on_the_path(self, tmp_path):
+        root, self_cgroup = self._nested(
+            tmp_path, "/a/b", {"a": "max 100000\n"},
+        )
+        assert executor_mod._cgroup_cpu_limit(root, self_cgroup) is None
 
     def test_quota_caps_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(executor_mod, "_cgroup_cpu_limit", lambda: 1)
@@ -183,4 +275,7 @@ def test_auto_partitioning_is_identical_to_serial(monkeypatch):
     assert (serial[2], auto[2]) == (0, 2)
     assert auto[3] == serial[3]
     assert auto[4] == serial[4]
-    assert serial[4]["simcore.kernel.fallback"] == len(Ms) * len(policies)
+    # LRU cells come from the parent's stack pass; FIFO and Belady
+    # cells run one loop each.
+    assert serial[4]["simcore.kernel.fallback"] == len(Ms) * 2
+    assert serial[4]["simcore.kernel.stack"] == len(Ms)

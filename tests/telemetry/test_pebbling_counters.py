@@ -133,8 +133,8 @@ KERNEL_MODE = "jit" if dispatch.HAVE_NUMBA else "interp"
 
 def test_kernel_path_counter_per_simulation(workload):
     """Each simulation increments exactly one
-    ``simcore.kernel.{jit,interp,fallback}`` path counter — through
-    run() and once per configuration through run_many()."""
+    ``simcore.kernel.{jit,interp,fallback,stack}`` path counter —
+    through run() and once per configuration through run_many()."""
     g, sched = workload
     telemetry.enable()
     ex = CacheExecutor(g)
@@ -153,7 +153,10 @@ def test_kernel_path_counter_per_simulation(workload):
         ex.run(sched, 8, "belady")
         ex.run_many(sched, (8, 12), ("lru", "belady"))
         reg = telemetry.metrics()
-        assert reg.counter("simcore.kernel.fallback").value == 5
+        # Belady runs one loop per configuration; the LRU cells come
+        # from one stack pass.
+        assert reg.counter("simcore.kernel.fallback").value == 3
+        assert reg.counter("simcore.kernel.stack").value == 2
         assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 0
 
 
@@ -201,7 +204,7 @@ def test_disabled_telemetry_skips_run_counters(workload):
     ex.run_many(sched, (8, 12), ("lru", "belady"))
     reg = telemetry.metrics()
     assert reg.gauge("pebbling.belady_gap").count == 0
-    for path in ("jit", "interp", "fallback"):
+    for path in ("jit", "interp", "fallback", "stack"):
         assert reg.counter(f"simcore.kernel.{path}").value == 0
     # Plan cache accounting stays unconditional (cheap, and the
     # autotuner's dedupe contract reads it).
